@@ -9,7 +9,10 @@ separately:
 * **warm execution** — running the plan through the already-built kernel.
   This is the number the ROADMAP targets: **≥5x faster than the vectorized
   backend** on the example 4.1 pipeline at N=64 (``native_vs_vectorized``
-  in ``thresholds.json``, enforced by ``check_thresholds.py`` in CI).
+  in ``thresholds.json``, enforced by ``check_thresholds.py`` in CI).  A
+  second arm runs example 4.2 at the same N, whose full-rank PDM makes
+  every chunk a lattice coset rather than a strided product; it is gated
+  the same way (``native_vs_vectorized_ex42``).
 
 A third number, ``disk_warm_seconds``, measures a cold *process* against a
 warm *disk cache* (the cross-worker / cross-session reuse path: the kernel
@@ -42,7 +45,7 @@ from repro.core.pipeline import analyze_nest
 from repro.runtime.arrays import store_for_nest
 from repro.runtime.backends import NativeBackend, VectorizedBackend
 from repro.runtime.interpreter import execute_nest
-from repro.workloads.paper_examples import example_4_1
+from repro.workloads.paper_examples import example_4_1, example_4_2
 
 # Same wide-schedule configuration as bench_backend_comparison.py: example
 # 4.1 at N=64 is 16641 iterations over ~512 independent chunks.
@@ -50,8 +53,39 @@ SPEEDUP_N = 64
 SPEEDUP_TARGET = 5.0
 
 
+def _warm_pair(engine, transformed, plan, base, reference, repetitions):
+    """Best-of warm ``execute_plan`` seconds, native then vectorized; both
+    results must be bit-identical to the interpreter's."""
+    native = NativeBackend()
+    vectorized = VectorizedBackend()
+    native.execute_plan(transformed, plan, base.copy())
+    vectorized.execute_plan(transformed, plan, base.copy())
+
+    def _best(backend):
+        best, final = float("inf"), None
+        for _ in range(max(1, repetitions)):
+            store = base.copy()
+            start = time.perf_counter()
+            backend.execute_plan(transformed, plan, store)
+            best = min(best, time.perf_counter() - start)
+            final = store
+        return best, final
+
+    native_time, native_store = _best(native)
+    vectorized_time, vectorized_store = _best(vectorized)
+    name = transformed.nest.name
+    assert native.last_execution_engine == f"native-{engine}", (
+        f"warm run of {name!r} did not execute natively: "
+        f"{native.last_execution_engine} ({native.last_fallback})"
+    )
+    assert reference.identical(native_store), f"native result differs on {name!r}"
+    assert reference.identical(vectorized_store), f"vectorized result differs on {name!r}"
+    return native_time, vectorized_time
+
+
 def measure(n: int = SPEEDUP_N, repetitions: int = 5):
-    """Measure cold compile, disk-warm load and warm execution on example 4.1."""
+    """Measure cold compile, disk-warm load and warm execution on example
+    4.1, and warm execution on example 4.2."""
     engine = native_codegen.resolve_engine()
     if engine is None:
         return None
@@ -84,34 +118,28 @@ def measure(n: int = SPEEDUP_N, repetitions: int = 5):
 
             # Warm execution: kernel in memory, timed region is pure
             # execution — exactly what elapsed_seconds measures.
-            native = NativeBackend()
-            vectorized = VectorizedBackend()
-            native.execute_plan(transformed, plan, base.copy())
-            vectorized.execute_plan(transformed, plan, base.copy())
-
-            def _best(backend):
-                best, final = float("inf"), None
-                for _ in range(max(1, repetitions)):
-                    store = base.copy()
-                    start = time.perf_counter()
-                    backend.execute_plan(transformed, plan, store)
-                    best = min(best, time.perf_counter() - start)
-                    final = store
-                return best, final
-
-            native_time, native_store = _best(native)
-            vectorized_time, vectorized_store = _best(vectorized)
+            native_time, vectorized_time = _warm_pair(
+                engine, transformed, plan, base, reference, repetitions
+            )
+            # Example 4.2: a full-rank PDM whose lattice cosets are not
+            # strided products — the kernel walks them directly, while the
+            # vectorized backend (product chunks only) runs them per
+            # iteration.
+            nest42 = example_4_2(n)
+            transformed42 = TransformedLoopNest.from_report(analyze_nest(nest42))
+            base42 = store_for_nest(nest42)
+            reference42 = base42.copy()
+            execute_nest(nest42, reference42)
+            native42, vectorized42 = _warm_pair(
+                engine, transformed42, transformed42.execution_plan(), base42,
+                reference42, repetitions,
+            )
         finally:
             if saved_cache_dir is None:
                 os.environ.pop(native_codegen.CACHE_DIR_ENV, None)
             else:
                 os.environ[native_codegen.CACHE_DIR_ENV] = saved_cache_dir
 
-    assert native.last_execution_engine == f"native-{engine}", (
-        "warm run did not execute natively: " + native.last_execution_engine
-    )
-    assert reference.identical(native_store), "native result differs from interpreter"
-    assert reference.identical(vectorized_store), "vectorized result differs"
     return {
         "engine": engine,
         "size": n,
@@ -122,6 +150,9 @@ def measure(n: int = SPEEDUP_N, repetitions: int = 5):
         "native_seconds": native_time,
         "vectorized_seconds": vectorized_time,
         "native_vs_vectorized": vectorized_time / native_time if native_time else 0.0,
+        "native_seconds_ex42": native42,
+        "vectorized_seconds_ex42": vectorized42,
+        "native_vs_vectorized_ex42": vectorized42 / native42 if native42 else 0.0,
     }
 
 
@@ -129,10 +160,11 @@ def test_native_kernels(benchmark):
     if native_codegen.resolve_engine() is None:
         pytest.skip("no native engine (numba or a C compiler) available")
     result = benchmark.pedantic(measure, args=(SPEEDUP_N,), rounds=1, iterations=1)
-    assert result["native_vs_vectorized"] >= SPEEDUP_TARGET, (
-        f"warm native is only {result['native_vs_vectorized']:.1f}x the "
-        f"vectorized backend, target is {SPEEDUP_TARGET:.0f}x"
-    )
+    for metric in ("native_vs_vectorized", "native_vs_vectorized_ex42"):
+        assert result[metric] >= SPEEDUP_TARGET, (
+            f"{metric}: warm native is only {result[metric]:.1f}x the "
+            f"vectorized backend, target is {SPEEDUP_TARGET:.0f}x"
+        )
     # Cold compile is a setup cost: it must dominate a single warm run by
     # orders of magnitude, which is exactly why it is excluded from
     # elapsed_seconds — and the disk cache must amortize it across processes.
@@ -172,11 +204,11 @@ def main(argv=None) -> int:
         os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
         payload = {
             "name": "native_kernels",
-            "metrics": (
-                {"native_vs_vectorized": result["native_vs_vectorized"]}
-                if "native_vs_vectorized" in result
-                else {}
-            ),
+            "metrics": {
+                metric: result[metric]
+                for metric in ("native_vs_vectorized", "native_vs_vectorized_ex42")
+                if metric in result
+            },
             "result": result,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

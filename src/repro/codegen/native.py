@@ -1,12 +1,15 @@
 """Native machine-code kernels for symbolic execution plans.
 
-The :class:`~repro.plan.ExecutionPlan` of PR 5 describes every chunk as a
-product of per-level ``(start, stop, step)`` strided ranges — exactly the
-shape of a compiled loop nest.  This module closes the loop: it emits one
-specialized kernel per *(canonical program structure, inverse transform)*
-that takes the raw float64 buffers of the store plus a flat array of
-per-chunk range parameters and executes the chunks as nested native loops,
-with zero per-iteration Python overhead.
+The :class:`~repro.plan.ExecutionPlan` describes every chunk of a
+separable plan as a lattice coset: per level, bounds, a stride, a
+congruence target and the HNF shifts by which the outer levels move that
+target (:meth:`~repro.plan.ExecutionPlan.chunk_coset`) — a product of
+strided ranges when every shift vanishes, the shape of a compiled loop nest
+either way.  This module emits one specialized kernel per *(canonical
+program structure, inverse transform)* that takes the raw float64 buffers
+of the store plus one packed int64 row per chunk (layout in
+:func:`row_offsets`) and walks the chunks as nested native loops, with zero
+per-iteration Python overhead.
 
 Two engines generate the same kernel structure:
 
@@ -70,7 +73,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,15 +104,17 @@ __all__ = [
     "native_program_for",
     "nest_is_native_supported",
     "openmp_supported",
-    "pack_ranges",
     "packed_ranges_for",
+    "packed_row_for",
     "resolve_engine",
+    "row_offsets",
     "set_kernel_cache_limit",
 ]
 
 KERNEL_SYMBOL = "repro_kernel"
 PARALLEL_KERNEL_SYMBOL = "repro_kernel_par"
 CHUNK_SYMBOL = "repro_chunk"
+FIRST_SYMBOL = "repro_first"
 
 # The pthreads fallback driver spawns at most this many helper threads.
 _MAX_PTHREADS = 64
@@ -426,13 +431,79 @@ def _inverse_assignments(emitter: _KernelEmitter, inverse) -> List[str]:
     return lines
 
 
+def row_offsets(depth: int) -> Tuple[int, ...]:
+    """Where each level's block starts in a packed row, plus the row width.
+
+    Level ``k``'s block holds ``lower, upper, stride, target`` followed by
+    ``k`` shift coefficients, one per outer level (see
+    :meth:`~repro.plan.ExecutionPlan.chunk_coset`), so a row is
+    ``4 * depth + depth * (depth - 1) / 2`` int64 values wide.  Every
+    target lies in ``[lower, lower + stride)``; the C kernel relies on it.
+    """
+    offsets = [0]
+    for level in range(depth):
+        offsets.append(offsets[-1] + 4 + level)
+    return tuple(offsets)
+
+
+def _coset_loops(depth: int, lang: str) -> Tuple[List[str], List[List[str]]]:
+    """Row decoding: ``(declarations, loop headers)``, one header per level.
+
+    Row values are hoisted into locals.  Each level derives its congruence
+    class ``cls = target + sum(shift * fac)`` from the row and the factors
+    of the outer levels, starts at the first member of that class at or
+    above ``lower`` and counts the exact factor ``fac = (j - cls) / stride``
+    alongside the loop variable; the innermost level's factor is never
+    read.  Targets come normalized into ``[lower, lower + stride)`` (see
+    :func:`row_offsets`), so the outermost level starts at its target with
+    factor 0, and in C a deeper level only calls the division-based
+    ``repro_first`` when its class has moved out of that window — never
+    for product rows, whose shifts are all zero.
+    """
+    offsets = row_offsets(depth)
+    c = lang == "c"
+    decls: List[str] = []
+    headers: List[List[str]] = []
+    for k in range(depth):
+        names = [f"lo{k}", f"hi{k}", f"st{k}", f"tg{k}"] + [f"sh{k}_{j}" for j in range(k)]
+        for position, name in enumerate(names, start=offsets[k]):
+            decls.append(
+                f"const int64_t {name} = r[{position}];" if c else f"{name} = r[{position}]"
+            )
+        cls = " + ".join([f"tg{k}"] + [f"sh{k}_{j} * fac{j}" for j in range(k)])
+        step = f"j{k} += st{k}" if k == depth - 1 else f"j{k} += st{k}, ++fac{k}"
+        if c:
+            header = [f"int64_t fac{k} = 0;"]
+            if k:
+                header += [
+                    f"int64_t first{k} = {cls};",
+                    f"if (first{k} < lo{k} || first{k} - lo{k} >= st{k}) {{",
+                    f"    first{k} = {FIRST_SYMBOL}(lo{k}, first{k}, st{k}, &fac{k});",
+                    "}",
+                ]
+            header.append(
+                f"for (int64_t j{k} = {f'first{k}' if k else 'tg0'}; j{k} <= hi{k}; {step}) {{"
+            )
+        else:
+            # Python's % already floors: the start needs no fix-up.
+            header = [
+                f"cls{k} = {cls}",
+                f"first{k} = lo{k} + (cls{k} - lo{k}) % st{k}",
+                f"for j{k} in range(first{k}, hi{k} + 1, st{k}):",
+            ]
+            if k < depth - 1:
+                header.append(f"    fac{k} = (j{k} - cls{k}) // st{k}")
+        headers.append(header)
+    return decls, headers
+
+
 def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp") -> str:
     """Render the chunk-loop kernel for ``nest`` in ``lang`` ("c" or "py").
 
     The source contains three functions:
 
     * ``repro_chunk(r, a0, a0_org, a0_shp, ...)`` — executes one chunk
-      given its ``depth * 3`` range row, returning a status code;
+      given its packed row, returning a status code;
     * ``repro_kernel(n_chunks, ranges, a0, ...)`` — the serial driver:
       runs chunks in order, stopping at the first nonzero status;
     * ``repro_kernel_par(n_chunks, ranges, n_threads, dynamic_schedule,
@@ -441,10 +512,12 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
       the first failing chunk *in chunk order*, matching the serial error
       semantics exactly.
 
-    ``ranges`` is a flat int64 array of ``n_chunks * depth * 3`` values —
-    per chunk, per level: inclusive start, inclusive stop, positive step —
-    and each array contributes its raw float64 buffer plus int64 origin and
-    shape vectors.  Arrays appear in canonical slot order.
+    ``ranges`` is a flat int64 array of ``n_chunks`` packed rows — per
+    level: inclusive lower and upper bound, positive stride, congruence
+    target and the shifts of the outer levels (layout in
+    :func:`row_offsets`) — and each array contributes its raw float64
+    buffer plus int64 origin and shape vectors.  Arrays appear in canonical
+    slot order.
 
     ``flavor`` selects the C parallel driver: ``"openmp"`` emits an OpenMP
     ``parallel for`` honouring the static/dynamic hint (build with
@@ -457,7 +530,8 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         emitter.statement(stmt)
     slots = _array_slots(nest)
     depth = nest.depth
-    stride = depth * 3
+    width = row_offsets(depth)[-1]
+    row_decls, loop_headers = _coset_loops(depth, lang)
 
     def stride_decls(indent: str) -> List[str]:
         decls: List[str] = []
@@ -489,17 +563,28 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
             lines.append("#include <pthread.h>")
         lines += [
             "",
+            "/* The first member of cls's class modulo st at or above lo, and",
+            "   its factor (first - cls) / st.  C's / truncates toward zero, so",
+            "   a negative remainder moves up one period. */",
+            f"static int64_t {FIRST_SYMBOL}(int64_t lo, int64_t cls, int64_t st, "
+            "int64_t *fac)",
+            "{",
+            "    int64_t d = cls - lo;",
+            "    int64_t q = d / st;",
+            "    d -= q * st;",
+            "    if (d < 0) { d += st; --q; }",
+            "    *fac = -q;",
+            "    return lo + d;",
+            "}",
+            "",
             f"static int64_t {CHUNK_SYMBOL}(const int64_t *r{params})",
             "{",
         ]
         lines.extend(stride_decls("    "))
-        for level in range(depth):
-            base = level * 3
+        lines.extend("    " + text for text in row_decls)
+        for level, header in enumerate(loop_headers):
             indent = "    " * (level + 1)
-            lines.append(
-                f"{indent}for (int64_t j{level} = r[{base}]; "
-                f"j{level} <= r[{base + 1}]; j{level} += r[{base + 2}]) {{"
-            )
+            lines.extend(indent + text for text in header)
         body_indent = "    " * (depth + 1)
         lines.extend(body_indent + text for text in _inverse_assignments(emitter, inverse))
         lines.extend(body_indent + text for text in emitter.lines)
@@ -511,7 +596,7 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
             f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *ranges{params})",
             "{",
             "    for (int64_t c = 0; c < n_chunks; ++c) {",
-            f"        int64_t status = {CHUNK_SYMBOL}(ranges + c * {stride}{array_args});",
+            f"        int64_t status = {CHUNK_SYMBOL}(ranges + c * {width}{array_args});",
             "        if (status != 0) { return status; }",
             "    }",
             "    return 0;",
@@ -531,12 +616,12 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
                 "    if (dynamic_schedule) {",
                 "        #pragma omp parallel for schedule(dynamic) num_threads(threads)",
                 "        for (c = 0; c < n_chunks; ++c) {",
-                f"            statuses[c] = {CHUNK_SYMBOL}(ranges + c * {stride}{array_args});",
+                f"            statuses[c] = {CHUNK_SYMBOL}(ranges + c * {width}{array_args});",
                 "        }",
                 "    } else {",
                 "        #pragma omp parallel for schedule(static) num_threads(threads)",
                 "        for (c = 0; c < n_chunks; ++c) {",
-                f"            statuses[c] = {CHUNK_SYMBOL}(ranges + c * {stride}{array_args});",
+                f"            statuses[c] = {CHUNK_SYMBOL}(ranges + c * {width}{array_args});",
                 "        }",
                 "    }",
                 "    for (c = 0; c < n_chunks; ++c) {",
@@ -568,7 +653,7 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
                 "    for (;;) {",
                 "        int64_t c = __sync_fetch_and_add(&w->next, 1);",
                 "        if (c >= w->n_chunks) { break; }",
-                f"        w->statuses[c] = {CHUNK_SYMBOL}(w->ranges + c * {stride}{work_args});",
+                f"        w->statuses[c] = {CHUNK_SYMBOL}(w->ranges + c * {width}{work_args});",
                 "    }",
                 "    return 0;",
                 "}",
@@ -615,13 +700,10 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         f"def {CHUNK_SYMBOL}(r{params}):",
     ]
     lines.extend(stride_decls("    "))
-    for level in range(depth):
-        base = level * 3
+    lines.extend("    " + text for text in row_decls)
+    for level, header in enumerate(loop_headers):
         indent = "    " * (1 + level)
-        lines.append(
-            f"{indent}for j{level} in range(r[{base}], "
-            f"r[{base + 1}] + 1, r[{base + 2}]):"
-        )
+        lines.extend(indent + text for text in header)
     body_indent = "    " * (1 + depth)
     lines.extend(body_indent + text for text in _inverse_assignments(emitter, inverse))
     lines.extend(body_indent + text for text in emitter.lines)
@@ -632,8 +714,8 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         f'@numba.njit("{serial_signature}", cache=True, nogil=True)',
         f"def {KERNEL_SYMBOL}(n_chunks, ranges{params}):",
         "    for c in range(n_chunks):",
-        f"        b = c * {stride}",
-        f"        status = {CHUNK_SYMBOL}(ranges[b:b + {stride}]{params})",
+        f"        b = c * {width}",
+        f"        status = {CHUNK_SYMBOL}(ranges[b:b + {width}]{params})",
         "        if status != 0:",
         "            return status",
         "    return 0",
@@ -644,8 +726,8 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         f"    def {PARALLEL_KERNEL_SYMBOL}(n_chunks, ranges, n_threads, "
         f"dynamic_schedule, statuses{params}):",
         "        for c in numba.prange(n_chunks):",
-        f"            b = c * {stride}",
-        f"            statuses[c] = {CHUNK_SYMBOL}(ranges[b:b + {stride}]{params})",
+        f"            b = c * {width}",
+        f"            statuses[c] = {CHUNK_SYMBOL}(ranges[b:b + {width}]{params})",
         "        first = 0",
         "        for c in range(n_chunks):",
         "            if first == 0:",
@@ -680,14 +762,22 @@ def _numba_module():
     return _NUMBA_CACHED
 
 
+_COMPILERS: Dict[Tuple[Optional[str], Optional[str]], Optional[str]] = {}
+
+
 def _find_c_compiler() -> Optional[str]:
-    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if not candidate:
-            continue
-        path = shutil.which(candidate)
-        if path:
-            return path
-    return None
+    """Path of the C compiler, memoized per ``($CC, $PATH)``: engine
+    resolution runs on every request, and ``shutil.which`` walks ``PATH``."""
+    environment = (os.environ.get("CC"), os.environ.get("PATH"))
+    if environment not in _COMPILERS:
+        found = None
+        for candidate in (environment[0], "cc", "gcc", "clang"):
+            if candidate:
+                found = shutil.which(candidate)
+                if found:
+                    break
+        _COMPILERS[environment] = found
+    return _COMPILERS[environment]
 
 
 _OPENMP_PROBE_SOURCE = """\
@@ -887,55 +977,61 @@ _F64_P = ctypes.POINTER(ctypes.c_double)
 _I64_P = ctypes.POINTER(ctypes.c_int64)
 
 
-def pack_ranges(
-    range_lists: Sequence[Sequence[Tuple[int, int, int]]], depth: int
-) -> np.ndarray:
-    """Flatten per-chunk ``(start, stop, step)`` levels into one int64 array."""
-    flat = np.empty(len(range_lists) * depth * 3, dtype=np.int64)
-    position = 0
-    for ranges in range_lists:
-        for start, stop, step in ranges:
-            flat[position] = start
-            flat[position + 1] = stop
-            flat[position + 2] = step
-            position += 3
-    return flat
-
-
 _PACKED_ATTR = "_repro_native_packed"
 _PACKED_TABLE_ATTR = "_repro_native_packed_table"
 
 
-def _packed_table_for(plan) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+class _PackedTable:
+    """One plan's packed rows: ``rows`` is ``(n_nonempty, width)`` int64, one
+    row per non-empty chunk in chunk order; ``row_of_chunk[i]`` and
+    ``row_of_key[key]`` give a chunk's row, ``-1`` when it is empty."""
+
+    __slots__ = ("rows", "row_of_chunk", "row_of_key")
+
+    def __init__(self, rows, row_of_chunk, row_of_key):
+        self.rows = rows
+        self.row_of_chunk = row_of_chunk
+        self.row_of_key = row_of_key
+
+
+def _packed_table_for(plan) -> Optional[_PackedTable]:
     """The whole-plan packed table, built once and cached on the plan.
 
-    Returns ``(rows, row_of_chunk)`` where ``rows`` is an int64 array of
-    shape ``(n_nonempty, depth * 3)`` (one row per non-empty chunk, in
-    chunk order) and ``row_of_chunk[i]`` maps chunk index ``i`` to its row
-    (``-1`` for empty chunks), or ``None`` when any chunk of the plan is
-    not separable into strided ranges.
+    Each row is a chunk's :meth:`~repro.plan.ExecutionPlan.chunk_coset`
+    with the plan's :meth:`~repro.plan.ExecutionPlan.coset_shifts` appended
+    per level (layout in :func:`row_offsets`); product and lattice chunks
+    share the format.  ``None`` when the plan is not separable — the
+    caller falls back.
     """
     cached = getattr(plan, _PACKED_TABLE_ATTR, _UNSET)
     if cached is not _UNSET:
         return cached
-    views = plan.select_chunks(None)
-    range_lists: List[Sequence[Tuple[int, int, int]]] = []
-    row_indices: List[int] = []
-    table: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    for index, view in enumerate(views):
-        ranges = view.value_ranges()
-        if ranges is None:
+    keys = plan.key_list()
+    shifts = plan.coset_shifts()
+    rows: List[List[int]] = []
+    row_of_key: Dict[tuple, int] = {}
+    table: Optional[_PackedTable] = None
+    for key in keys:
+        coset = plan.chunk_coset(key)
+        if coset is None:
             break
-        if ranges:
-            row_indices.append(index)
-            range_lists.append(ranges)
+        if not coset:
+            row_of_key[key] = -1
+            continue
+        row_of_key[key] = len(rows)
+        row: List[int] = []
+        for level, level_shifts in zip(coset, shifts):
+            row.extend(level)
+            row.extend(level_shifts)
+        rows.append(row)
     else:
-        row_of_chunk = np.full(len(views), -1, dtype=np.int64)
-        row_of_chunk[row_indices] = np.arange(len(row_indices), dtype=np.int64)
-        rows = pack_ranges(range_lists, plan.depth).reshape(
-            len(range_lists), plan.depth * 3
+        packed = np.array(rows, dtype=np.int64).reshape(
+            len(rows), row_offsets(plan.depth)[-1]
         )
-        table = (rows, row_of_chunk)
+        row_of_chunk = np.fromiter(
+            (row_of_key[key] for key in keys), dtype=np.int64, count=len(keys)
+        )
+        table = _PackedTable(packed, row_of_chunk, row_of_key)
     try:
         setattr(plan, _PACKED_TABLE_ATTR, table)
     except AttributeError:  # pragma: no cover - plans have a __dict__ today
@@ -944,16 +1040,16 @@ def _packed_table_for(plan) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 
 def packed_ranges_for(plan, chunk_indices=None) -> Optional[Tuple[int, np.ndarray]]:
-    """``(n_chunks, flat ranges)`` for a plan selection, memoized on the plan.
+    """``(n_chunks, flat rows)`` for a plan selection, memoized on the plan.
 
-    Gathering ``value_ranges()`` view by view costs more than the kernel
-    call itself on warm runs, so the packing is done exactly once per plan
+    Evaluating chunk cosets costs more than the kernel call itself on warm
+    runs, so the packing is done exactly once per plan
     (:func:`_packed_table_for` builds the whole-plan table) and every group
     selection is a row slice of that table.  Both the table and the sliced
     selections are cached on the plan object (plans pickle through
     ``_SPEC_FIELDS``, so the memo never crosses a process boundary).
-    Returns ``None`` when any chunk is not separable into strided ranges —
-    the caller falls back.  Empty chunks are dropped from the packing.
+    Returns ``None`` when the plan is not separable — the caller falls
+    back.  Empty chunks are dropped from the packing.
     """
     key = None if chunk_indices is None else tuple(chunk_indices)
     cache = getattr(plan, _PACKED_ATTR, None)
@@ -968,16 +1064,26 @@ def packed_ranges_for(plan, chunk_indices=None) -> Optional[Tuple[int, np.ndarra
     table = _packed_table_for(plan)
     result: Optional[Tuple[int, np.ndarray]] = None
     if table is not None:
-        rows, row_of_chunk = table
+        rows = table.rows
         if key is None:
-            result = (rows.shape[0], np.ascontiguousarray(rows).reshape(-1))
+            result = (rows.shape[0], rows.reshape(-1))
         else:
-            selected = row_of_chunk[list(key)]
+            selected = table.row_of_chunk[list(key)]
             selected = selected[selected >= 0]
             result = (int(selected.size), rows[selected].reshape(-1))
     if cache is not None:
         cache[key] = result
     return result
+
+
+def packed_row_for(plan, chunk_key) -> Optional[np.ndarray]:
+    """One chunk's packed row from the plan's table (empty for an empty
+    chunk), or ``None`` when the plan is not separable."""
+    table = _packed_table_for(plan)
+    if table is None:
+        return None
+    row = table.row_of_key[chunk_key]
+    return table.rows[row] if row >= 0 else table.rows[:0].reshape(-1)
 
 
 class NativeKernel:
@@ -1183,6 +1289,7 @@ def clear_kernel_cache() -> None:
     global _NUMBA_CACHED, _OPENMP_CACHED, _LAST_BUILD_ERROR
     with _LOCK:
         _KERNELS.clear()
+        _COMPILERS.clear()
         for key in _STATS:
             _STATS[key] = 0.0 if key == "build_seconds" else 0
         _NUMBA_CACHED = _UNSET

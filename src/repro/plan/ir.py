@@ -145,7 +145,8 @@ class ChunkView:
         The chunk's iterations are then exactly the cartesian product of the
         ranges in level order — what the vectorized backend turns into
         ``np.arange`` + ``meshgrid`` index arrays.  ``None`` when the chunk
-        is not a product (bounds coupled to non-parallel levels).
+        is not a product (bounds coupled to non-parallel levels, or a
+        lattice coset whose congruence class shifts with the outer levels).
         """
         return self.plan.chunk_value_ranges(self.key)
 
@@ -375,10 +376,17 @@ class ExecutionPlan:
         self._key_list: Optional[List[ChunkKey]] = None
         self._size_list: Optional[List[int]] = None
         self._chunk_count: Optional[int] = None
-        # Per-key (start, stop, step) ranges: bound evaluation is exact
-        # Fraction arithmetic, so repeated executions of a warm plan cache
-        # it — O(#chunks * depth) small ints, like the key list.
-        self._ranges_cache: Dict[ChunkKey, Optional[List[Tuple[int, int, int]]]] = {}
+        self._coset_shifts: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(
+                self.hnf[self.levels[j].partition_pos][self.levels[k].partition_pos]
+                if self.levels[j].role == self.levels[k].role == "partition"
+                else 0
+                for j in range(k)
+            )
+            for k in range(depth)
+        )
+        # Per-key cosets: O(#chunks * depth) small ints, like the key list.
+        self._coset_cache: Dict[ChunkKey, List[Tuple[int, int, int, int]]] = {}
 
     # ------------------------------------------------------------------ #
     # bound evaluation
@@ -569,17 +577,46 @@ class ExecutionPlan:
         return scan(0)
 
     def chunk_value_ranges(self, key: ChunkKey) -> Optional[List[Tuple[int, int, int]]]:
-        """Per-level ``(start, stop_inclusive, step)`` when the chunk is a product."""
-        if not (self._separable and self._fixed_targets):
-            return None
-        cached = self._ranges_cache.get(key)
-        if cached is not None or key in self._ranges_cache:
-            return cached
-        ranges = self._compute_value_ranges(key)
-        self._ranges_cache[key] = ranges
-        return ranges
+        """Per-level ``(start, stop_inclusive, step)`` when the chunk is a product.
 
-    def _compute_value_ranges(self, key: ChunkKey) -> Optional[List[Tuple[int, int, int]]]:
+        A chunk is a product when it is a coset (see :meth:`chunk_coset`)
+        whose congruence targets do not shift with the outer partition
+        levels; each level then starts at its (normalized) target.
+        """
+        if not self._fixed_targets:
+            return None
+        coset = self.chunk_coset(key)
+        if not coset:
+            return coset
+        return [(target, upper, stride) for _, upper, stride, target in coset]
+
+    def chunk_coset(self, key: ChunkKey) -> Optional[List[Tuple[int, int, int, int]]]:
+        """Per-level ``(lower, upper, stride, target)`` of a separable chunk.
+
+        The chunk's iterations are exactly what :meth:`iterations_for`
+        scans: at each level ``k`` the values ``j`` in ``[lower, upper]``
+        congruent to ``t = target + sum(shift * f)`` modulo ``stride``,
+        where the sum runs over :meth:`coset_shifts` ``[k]`` and the exact
+        factors ``f = (j - t) / stride`` of the outer levels.  Targets are
+        normalized to ``[lower, lower + stride)``, so while the outer levels
+        sit at their first values (every ``f`` is 0) each target is its
+        level's first value.  Product chunks are the case where every shift
+        vanishes modulo the stride; their targets are plain range starts.
+
+        ``None`` when the plan is not separable (bounds coupled to a level
+        that varies within a chunk); ``[]`` when the chunk is provably
+        empty.  Cached per key: bound evaluation is exact ``Fraction``
+        arithmetic, and warm plans are executed over and over.
+        """
+        if not self._separable:
+            return None
+        cached = self._coset_cache.get(key)
+        if cached is None:
+            cached = self._compute_coset(key)
+            self._coset_cache[key] = cached
+        return cached
+
+    def _compute_coset(self, key: ChunkKey) -> List[Tuple[int, int, int, int]]:
         parallel_values, label = key
         value_at = dict(zip(self.parallel_levels, parallel_values))
         # Bounds only reference unblocked parallel levels, whose values are
@@ -589,37 +626,50 @@ class ExecutionPlan:
             value_at.get(level, 0) * self.levels[level].block
             for level in range(self.depth)
         ]
-        ranges: List[Tuple[int, int, int]] = []
+        coset: List[Tuple[int, int, int, int]] = []
+        # Per level, by how many periods normalizing moved its target: the
+        # level's factors drop by that much, so deeper targets absorb
+        # ``shift * moved`` and still denote the same classes.
+        moved: List[int] = []
         for level in range(self.depth):
             spec = self.levels[level]
             lower, upper = self._range(level, prefix[:level])
+            stride = 1
             if spec.role == "parallel":
-                if spec.block == 1:
-                    value = value_at[level]
-                    if not lower <= value <= upper:
-                        return []
-                    ranges.append((value, value, 1))
-                else:
-                    base = value_at[level] * spec.block
-                    start = max(lower, base)
-                    stop = min(upper, base + spec.block - 1)
-                    if start > stop:
-                        return []
-                    ranges.append((start, stop, 1))
-            elif spec.role == "partition":
+                # The chunk owns one value (or one block of values) here.
+                base = value_at[level] * spec.block
+                lower = max(lower, base)
+                upper = min(upper, base + spec.block - 1)
+            if lower > upper:
+                return []
+            target = lower
+            if spec.role == "partition":
                 s = spec.partition_pos
                 stride = spec.stride
-                # Fixed targets: off-diagonal shifts vanish mod the stride,
-                # so the congruence class is the label component itself.
-                start = lower + ((label[s] - lower) % stride)
-                if start > upper:
+                raw = label[s] + sum(
+                    shift * periods
+                    for shift, periods in zip(self._coset_shifts[level], moved)
+                )
+                target = lower + (raw - lower) % stride
+                # A target that no outer level shifts fixes the first
+                # member: an empty class empties the whole chunk.
+                if self._fixed_target_at[s] and target > upper:
                     return []
-                ranges.append((start, upper, stride))
+                moved.append((target - raw) // stride)
             else:
-                if lower > upper:
-                    return []
-                ranges.append((lower, upper, 1))
-        return ranges
+                moved.append(0)
+            coset.append((lower, upper, stride, target))
+        return coset
+
+    def coset_shifts(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per level ``k``, the target shift per unit factor of each outer level.
+
+        ``coset_shifts()[k][j]`` is the HNF entry ``hnf[r][s]`` when levels
+        ``j`` and ``k`` are the ``r``-th and ``s``-th partitioned levels, and
+        0 otherwise: one more period of level ``j`` moves level ``k``'s
+        congruence class by that much.
+        """
+        return self._coset_shifts
 
     # ------------------------------------------------------------------ #
     # closed-form statistics

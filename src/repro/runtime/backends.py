@@ -42,6 +42,7 @@ bit-identical (NumPy's ufuncs may differ in the last ulp).
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 import weakref
@@ -90,6 +91,15 @@ __all__ = [
 ]
 
 DEFAULT_BACKEND = "interpreter"
+
+_LOG = logging.getLogger("repro")
+
+#: Why the native backend delegated a run (``NativeBackend.last_fallback``).
+FALLBACK_NO_ENGINE = "native fallback: no engine available"
+FALLBACK_UNSUPPORTED = "native fallback: unsupported expression"
+FALLBACK_BUILD_FAILED = "native fallback: kernel build failed"
+FALLBACK_NON_SEPARABLE = "native fallback: non-separable chunk bounds"
+FALLBACK_ARRAY_LAYOUT = "native fallback: array layout cannot be marshalled"
 
 
 # ---------------------------------------------------------------------------
@@ -839,20 +849,26 @@ class VectorizedBackend(ExecutionBackend):
 # ---------------------------------------------------------------------------
 
 class NativeBackend(ExecutionBackend):
-    """Machine-code execution of the plan's strided chunk ranges.
+    """Machine-code execution of the plan's chunk cosets.
 
-    The plan already describes every chunk as per-level ``(start, stop,
-    step)`` ranges; :mod:`repro.codegen.native` compiles one specialized
-    kernel per canonical program (Numba ``@njit`` when available, else
-    generated C through the system compiler + ctypes) that runs all selected
-    chunks as nested native loops directly on the store's float64 buffers —
-    zero per-iteration Python work, GIL released for the duration of a call.
+    The plan describes every chunk of a separable plan as a per-level
+    lattice coset — bounds, stride, congruence target and the HNF shifts of
+    the outer levels (:meth:`~repro.plan.ExecutionPlan.chunk_coset`), with
+    product chunks as the zero-shift case; :mod:`repro.codegen.native`
+    compiles one specialized kernel per canonical program (Numba ``@njit``
+    when available, else generated C through the system compiler + ctypes)
+    that walks all selected chunks as nested native loops directly on the
+    store's float64 buffers — zero per-iteration Python work, GIL released
+    for the duration of a call.
 
     The backend degrades automatically: when no engine is available, the
-    nest uses expressions outside the kernel subset, a chunk is not
-    separable into strided ranges, or an array's layout cannot be
-    marshalled, the run is delegated to the vectorized backend (itself
-    pinned bit-identical to the interpreter).  The instance carries only
+    nest uses expressions outside the kernel subset, the plan is not
+    separable (bounds coupled to a level that varies within a chunk), or an
+    array's layout cannot be marshalled, the run is delegated to the
+    vectorized backend (itself pinned bit-identical to the interpreter).
+    Every delegation is reported: :attr:`last_fallback` names the reason
+    (serial executor runs surface it as ``ExecutionResult.fallback``) and
+    one ``repro`` logger record carries it.  The instance carries only
     configuration — kernels live in the module-level cache — so it pickles
     cheaply into process-pool payloads, and every worker reuses the parent's
     on-disk kernel artifact instead of recompiling.
@@ -866,6 +882,9 @@ class NativeBackend(ExecutionBackend):
     def __init__(self, engine: Optional[str] = None):
         self.engine = engine
         self.last_execution_engine = self.name
+        #: Why the last :meth:`execute_plan` call did not run natively
+        #: (``None`` when it did).
+        self.last_fallback: Optional[str] = None
         self.stats: Dict[str, float] = {
             "native_runs": 0,
             "native_chunks": 0,
@@ -897,8 +916,17 @@ class NativeBackend(ExecutionBackend):
             f"native kernel returned unknown status {code}"
         )
 
-    def _delegate_plan(self, transformed, plan, store, chunk_indices) -> ArrayStore:
+    def _no_program_reason(self, transformed) -> str:
+        if native_codegen.resolve_engine(self.engine) is None:
+            return FALLBACK_NO_ENGINE
+        if not native_codegen.nest_is_native_supported(transformed.nest):
+            return FALLBACK_UNSUPPORTED
+        return FALLBACK_BUILD_FAILED
+
+    def _delegate_plan(self, transformed, plan, store, chunk_indices, reason) -> ArrayStore:
         self.stats["fallback_runs"] += 1
+        self.last_fallback = reason
+        _LOG.info("%s; %r runs on the vectorized backend", reason, transformed.nest.name)
         self._fallback.execute_plan(transformed, plan, store, chunk_indices=chunk_indices)
         self.last_execution_engine = self._fallback.last_execution_engine
         return store
@@ -906,19 +934,25 @@ class NativeBackend(ExecutionBackend):
     def execute_plan(self, transformed, plan, store, chunk_indices=None) -> ArrayStore:
         program = native_codegen.native_program_for(transformed, self.engine)
         if program is None:
-            return self._delegate_plan(transformed, plan, store, chunk_indices)
+            reason = self._no_program_reason(transformed)
+            return self._delegate_plan(transformed, plan, store, chunk_indices, reason)
         packed = native_codegen.packed_ranges_for(plan, chunk_indices)
         if packed is None:
-            return self._delegate_plan(transformed, plan, store, chunk_indices)
+            return self._delegate_plan(
+                transformed, plan, store, chunk_indices, FALLBACK_NON_SEPARABLE
+            )
         n_chunks, ranges = packed
         code = program.execute(store, ranges, n_chunks)
         if code is None:
-            return self._delegate_plan(transformed, plan, store, chunk_indices)
+            return self._delegate_plan(
+                transformed, plan, store, chunk_indices, FALLBACK_ARRAY_LAYOUT
+            )
         if code != native_codegen.OK:
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
         self.stats["native_chunks"] += n_chunks
         self.last_execution_engine = f"native-{program.kernel.engine}"
+        self.last_fallback = None
         return store
 
     # ------------------------------------------------------------------ #
@@ -971,16 +1005,20 @@ class NativeBackend(ExecutionBackend):
         return label
 
     def execute_chunk(self, transformed, chunk, store) -> None:
-        # The thread executor submits plan chunk views one by one; legacy
-        # materialized chunks (no strided-range form) delegate.
-        ranges = chunk.value_ranges() if isinstance(chunk, ChunkView) else None
-        if ranges is not None:
+        # The thread executor submits plan chunk views one by one, each a
+        # row of the plan's packed table; legacy materialized chunks (no
+        # plan) delegate.
+        row = (
+            native_codegen.packed_row_for(chunk.plan, chunk.key)
+            if isinstance(chunk, ChunkView)
+            else None
+        )
+        if row is not None:
             program = native_codegen.native_program_for(transformed, self.engine)
             if program is not None:
-                if not ranges:
+                if not row.size:
                     return
-                packed = native_codegen.pack_ranges([ranges], transformed.depth)
-                code = program.execute(store, packed, 1)
+                code = program.execute(store, row, 1)
                 if code is not None:
                     if code != native_codegen.OK:
                         self._raise_native_error(code, transformed)

@@ -134,6 +134,8 @@ class ExecutionResult:
     chunk_sizes: Tuple[int, ...] = field(default=())
     backend: str = DEFAULT_BACKEND
     setup_seconds: float = 0.0
+    #: Why the run took a slower path than requested (a shared-mode worker
+    #: crash, a serial native run delegated to vectorized), ``None`` otherwise.
     fallback: Optional[str] = None
     #: Engine label of an in-kernel parallel run (e.g. ``"native-cc-openmp"``),
     #: ``None`` for every other path.
@@ -348,6 +350,9 @@ class ParallelExecutor:
             else:
                 self.backend.execute(transformed, store, chunks=chunks)
             elapsed = time.perf_counter() - start
+            if plan is not None:
+                # A backend that delegated to a slower path says why.
+                fallback = getattr(self.backend, "last_fallback", None)
             if key is not None:
                 # One group holding every chunk: cold programs get their
                 # per-iteration rate from serial runs, which seeds the
@@ -446,6 +451,7 @@ class ParallelExecutor:
         setup = time.perf_counter() - setup_start
         fallback: Optional[str] = None
         per_member_elapsed: Optional[List[float]] = None
+        per_member_fallback: Optional[List[Optional[str]]] = None
         engine: Optional[str] = None
         mixed_dispatch = False
         elapsed = 0.0
@@ -453,10 +459,12 @@ class ParallelExecutor:
             pass
         elif self.mode == "serial":
             per_member_elapsed = []
+            per_member_fallback = []
             for transformed, member, store in zip(transformeds, fused.members, stores):
                 start = time.perf_counter()
                 self.backend.execute_plan(transformed, member, store)
                 per_member_elapsed.append(time.perf_counter() - start)
+                per_member_fallback.append(getattr(self.backend, "last_fallback", None))
             elapsed = sum(per_member_elapsed)
         elif self.mode in ("threads", "native-parallel"):
             # Per member: prefer the backend's in-kernel parallel driver
@@ -562,7 +570,11 @@ class ParallelExecutor:
                     chunk_sizes=sizes,
                     backend=effective,
                     setup_seconds=setup * weights[member] / total_weight,
-                    fallback=fallback,
+                    fallback=(
+                        per_member_fallback[member]
+                        if per_member_fallback is not None
+                        else fallback
+                    ),
                     engine=engine if all_driver else None,
                     threads=(
                         max(1, min(self.workers, max(map(len, member_sizes))))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import analyze_nest
+from repro.loopnest import loop_nest
 from repro.workloads.kernels import (
     banded_update,
     constant_partitioning_recurrence,
@@ -69,3 +70,17 @@ def kernel_nests():
         uniform_distance_loop([(1, -1), (2, 0)], 6),
         variable_distance_loop(scale=3, n=5),
     ]
+
+
+@pytest.fixture(scope="session")
+def ex42_triangular():
+    """Example 4.2 over a triangle (``i2`` from ``i1``): the inner bounds
+    follow a partitioned level, so the plan is not separable."""
+    return (
+        loop_nest("example-4.2-triangular")
+        .loop("i1", -8, 8)
+        .loop("i2", "i1", 8)
+        .statement("A[i1, i2] = A[-i1 - 2, -i1 - i2 - 1] * 0.5 + 1.0")
+        .statement("B[i1, i2] = B[i1 - 2, i2 - 1] + A[i1, i2]")
+        .build()
+    )

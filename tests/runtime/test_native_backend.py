@@ -385,3 +385,40 @@ class TestSessionIntegration:
         assert info["builds"] == builds_first  # same program, new session
         assert info["hits"] > 0
         native_codegen.clear_kernel_cache()
+
+
+# ---------------------------------------------------------------------------
+# toolchain discovery
+# ---------------------------------------------------------------------------
+
+class TestCompilerDiscovery:
+    def test_memoized_per_cc_and_path(self, monkeypatch):
+        calls = []
+
+        def which(name):
+            calls.append(name)
+            return f"/toolchain/{name}"
+
+        monkeypatch.setattr(native_codegen.shutil, "which", which)
+        monkeypatch.setattr(native_codegen, "_COMPILERS", {})
+        monkeypatch.setenv("CC", "my-cc")
+        assert native_codegen._find_c_compiler() == "/toolchain/my-cc"
+        assert native_codegen._find_c_compiler() == "/toolchain/my-cc"
+        assert calls == ["my-cc"]
+        # A different $PATH (or $CC) is a different toolchain: look again.
+        monkeypatch.setenv("PATH", "/elsewhere")
+        assert native_codegen._find_c_compiler() == "/toolchain/my-cc"
+        monkeypatch.delenv("CC")
+        assert native_codegen._find_c_compiler() == "/toolchain/cc"
+        assert calls == ["my-cc", "my-cc", "cc"]
+
+    def test_missing_compiler_is_memoized(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            native_codegen.shutil, "which", lambda name: calls.append(name)
+        )
+        monkeypatch.setattr(native_codegen, "_COMPILERS", {})
+        monkeypatch.delenv("CC", raising=False)
+        assert native_codegen._find_c_compiler() is None
+        assert native_codegen._find_c_compiler() is None
+        assert calls == ["cc", "gcc", "clang"]

@@ -4,10 +4,11 @@ PR 10 moves the parallel-for over chunks *into* the compiled kernel: one
 native call executes the whole plan on N OS threads (OpenMP / pthreads /
 ``numba.prange``).  This suite pins:
 
-* ``pack_ranges``/``packed_ranges_for`` edge cases — empty selections,
-  single-chunk plans, ``FusedPlan`` member boundaries — and the
-  packing-once contract (the whole-plan table is built exactly once per
-  plan; selections are row slices of it),
+* packed-row edge cases — the row layout, empty selections, single-chunk
+  plans, lattice (full-rank) plans, the non-separable refusal,
+  ``FusedPlan`` member boundaries — and the packing-once contract (the
+  whole-plan table is built exactly once per plan; selections are row
+  slices of it),
 * the differential contract: the parallel driver is bit-identical to
   serial native and to the interpreter on the workload suite and seeded
   random nests, under thread counts 1/2/8 and both schedules,
@@ -34,8 +35,7 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
-from repro.plan import FusePlansPass, PlanPassManager
-from repro.plan.ir import ChunkView
+from repro.plan import ExecutionPlan, FusePlansPass, PlanPassManager
 from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
 from repro.runtime.backends import NativeBackend
 from repro.runtime.executor import (
@@ -89,13 +89,30 @@ def _random_nest(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# pack_ranges / packed_ranges_for edge cases (satellite)
+# packed rows: layout, selections, lattice plans, packing once
 # ---------------------------------------------------------------------------
 
+def _direct_rows(plan, views):
+    """Pack ``views`` straight from the plan's cosets, skipping empty ones —
+    what every selection of the cached whole-plan table must equal."""
+    shifts = plan.coset_shifts()
+    rows = []
+    for view in views:
+        coset = plan.chunk_coset(view.key)
+        if coset:
+            rows.append(
+                [value for level, shift in zip(coset, shifts) for value in (*level, *shift)]
+            )
+    width = native_codegen.row_offsets(plan.depth)[-1]
+    return len(rows), np.array(rows, dtype=np.int64).reshape(len(rows) * width)
+
+
 class TestPackedRanges:
-    def test_pack_ranges_empty_input(self):
-        flat = native_codegen.pack_ranges([], 2)
-        assert flat.dtype == np.int64 and flat.size == 0
+    def test_row_layout(self):
+        # Level k carries lower, upper, stride, target and k outer shifts.
+        assert native_codegen.row_offsets(1) == (0, 4)
+        assert native_codegen.row_offsets(2) == (0, 4, 9)
+        assert native_codegen.row_offsets(3) == (0, 4, 9, 15)
 
     def test_empty_selection_packs_to_zero_chunks(self):
         _, _, transformed = _reference_and_transformed(example_4_1(8))
@@ -120,20 +137,25 @@ class TestPackedRanges:
         assert whole is not None and only is not None
         assert whole[0] == only[0] == 1
         assert np.array_equal(whole[1], only[1])
-        assert whole[1].size == plan.depth * 3
+        assert whole[1].size == native_codegen.row_offsets(plan.depth)[-1]
+        # lower, upper, stride 1, target at the lower bound.
+        assert whole[1].tolist() == [0, 7, 1, 0]
 
     def test_selection_slices_match_direct_packing(self):
-        _, _, transformed = _reference_and_transformed(example_4_1(10))
+        self._check_selection_slices(example_4_1(10))
+
+    def test_lattice_selection_slices_match_direct_packing(self):
+        self._check_selection_slices(example_4_2(10))
+
+    def _check_selection_slices(self, nest):
+        _, _, transformed = _reference_and_transformed(nest)
         plan = transformed.execution_plan()
         views = plan.select_chunks(None)
         indices = tuple(range(0, len(views), 2))
         n_chunks, flat = native_codegen.packed_ranges_for(plan, chunk_indices=indices)
-        expected = [views[i].value_ranges() for i in indices]
-        expected = [ranges for ranges in expected if ranges]
-        assert n_chunks == len(expected)
-        assert np.array_equal(
-            flat, native_codegen.pack_ranges(expected, plan.depth)
-        )
+        expected_chunks, expected = _direct_rows(plan, [views[i] for i in indices])
+        assert n_chunks == expected_chunks
+        assert np.array_equal(flat, expected)
 
     def test_whole_plan_equals_all_indices_selection(self):
         _, _, transformed = _reference_and_transformed(example_4_1(9))
@@ -144,16 +166,30 @@ class TestPackedRanges:
         assert whole[0] == explicit[0]
         assert np.array_equal(whole[1], explicit[1])
 
-    def test_non_separable_plan_packs_to_none(self):
-        # Example 4.2's full-rank PDM yields lattice chunks that are not
-        # strided ranges; the packer must refuse them (callers fall back).
-        _, _, transformed = _reference_and_transformed(example_4_2(8))
+    def test_non_separable_plan_packs_to_none(self, ex42_triangular):
+        # Inner bounds that follow a partitioned level vary within a chunk:
+        # no per-chunk row exists, so the packer refuses (callers fall back).
+        _, _, transformed = _reference_and_transformed(ex42_triangular)
         plan = transformed.execution_plan()
         assert native_codegen.packed_ranges_for(plan) is None
         assert native_codegen.packed_ranges_for(plan, (0,)) is None
 
+    def test_lattice_plan_packs(self):
+        # Example 4.2's full-rank PDM: four lattice cosets whose inner
+        # congruence class shifts by hnf[0][1] per outer period.
+        _, _, transformed = _reference_and_transformed(example_4_2(8))
+        plan = transformed.execution_plan()
+        assert plan.chunk_value_ranges(plan.key_list()[0]) is None
+        n_chunks, flat = native_codegen.packed_ranges_for(plan)
+        assert n_chunks == len(plan.select_chunks(None)) == 4
+        rows = flat.reshape(n_chunks, native_codegen.row_offsets(plan.depth)[-1])
+        # Row level 1 carries the shift of level 0: the HNF entry (2, 1).
+        assert plan.hnf == ((2, 1), (0, 2))
+        assert rows[:, 8].tolist() == [1, 1, 1, 1]
+        assert native_codegen.packed_ranges_for(plan, (1,))[0] == 1
+
     def test_fused_plan_member_boundaries(self):
-        nests = [example_4_1(8), example_4_1(5)]
+        nests = [example_4_1(8), example_4_2(5)]
         transformeds = [
             TransformedLoopNest.from_report(analyze_nest(nest)) for nest in nests
         ]
@@ -170,40 +206,41 @@ class TestPackedRanges:
         for member_index, local_indices in split:
             member = fused.members[member_index]
             packed = native_codegen.packed_ranges_for(member, local_indices)
-            direct = [
-                view.value_ranges()
-                for view in member.select_chunks(local_indices)
-            ]
-            direct = [ranges for ranges in direct if ranges]
-            assert packed[0] == len(direct)
-            assert np.array_equal(
-                packed[1], native_codegen.pack_ranges(direct, member.depth)
-            )
+            direct = _direct_rows(member, member.select_chunks(local_indices))
+            assert packed[0] == direct[0]
+            assert np.array_equal(packed[1], direct[1])
             seen += len(local_indices)
         assert seen == total
 
     def test_packing_happens_once_per_plan(self, monkeypatch):
         """Regression: selections slice the cached whole-plan table.
 
-        ``value_ranges`` used to be re-gathered for every distinct group
-        selection; now it runs exactly once per chunk per plan, no matter
-        how many selections are requested.
+        Chunk cosets used to be re-gathered for every distinct group
+        selection; now each is evaluated exactly once per plan, no matter
+        how many selections (or single-chunk rows) are requested.
         """
-        _, _, transformed = _reference_and_transformed(example_4_1(10))
+        self._check_packing_once(example_4_1(10), monkeypatch)
+
+    def test_lattice_packing_happens_once_per_plan(self, monkeypatch):
+        self._check_packing_once(example_4_2(10), monkeypatch)
+
+    def _check_packing_once(self, nest, monkeypatch):
+        _, _, transformed = _reference_and_transformed(nest)
         plan = transformed.execution_plan()
         num_chunks = len(plan.select_chunks(None))
         calls = {"n": 0}
-        original = ChunkView.value_ranges
+        original = ExecutionPlan.chunk_coset
 
-        def counting(self):
+        def counting(self, key):
             calls["n"] += 1
-            return original(self)
+            return original(self, key)
 
-        monkeypatch.setattr(ChunkView, "value_ranges", counting)
+        monkeypatch.setattr(ExecutionPlan, "chunk_coset", counting)
         native_codegen.packed_ranges_for(plan)
         native_codegen.packed_ranges_for(plan, tuple(range(0, num_chunks, 2)))
         native_codegen.packed_ranges_for(plan, tuple(range(1, num_chunks, 2)))
         native_codegen.packed_ranges_for(plan, (0,))
+        native_codegen.packed_row_for(plan, plan.key_list()[-1])
         assert calls["n"] == num_chunks
 
     def test_repeated_selection_hits_the_selection_memo(self, monkeypatch):
@@ -211,8 +248,8 @@ class TestPackedRanges:
         plan = transformed.execution_plan()
         native_codegen.packed_ranges_for(plan, (0, 1))
         monkeypatch.setattr(
-            ChunkView, "value_ranges",
-            lambda self: pytest.fail("selection memo was bypassed"),
+            ExecutionPlan, "chunk_coset",
+            lambda self, key: pytest.fail("selection memo was bypassed"),
         )
         native_codegen.packed_ranges_for(plan, (0, 1))
 
